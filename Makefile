@@ -76,23 +76,31 @@ docs:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzIrlpCircle$$ -fuzztime=10s ./internal/geom/
 	$(GO) test -fuzz=FuzzIrlpCircleComplement -fuzztime=10s ./internal/geom/
+	$(GO) test -fuzz=FuzzIrlpRing -fuzztime=10s ./internal/geom/
 	$(GO) test -fuzz=FuzzTreeOps -fuzztime=10s ./internal/rtree/
 	$(GO) test -fuzz=FuzzCFG -fuzztime=10s ./internal/analysis/
 	$(GO) test -fuzz=FuzzProtoDriftExtract -fuzztime=10s ./internal/analysis/
 
-# Machine-readable update-path benchmark snapshot plus regression gate: the
-# sequential, batch (nil-sink and fully instrumented), and 4-shard update
-# benchmarks with -benchmem, parsed into BENCH_PR10.json and compared against
-# the committed BENCH_PR9.json baseline. The gate fails on a >15% ns/op or
-# allocs/op regression in either nil-sink update benchmark; the Instrumented
-# variants (observability-overhead accounting in EXPERIMENTS.md) and
-# UpdateSharded (sharding-overhead tracking, new this cycle) are recorded but
-# not gated. Benchmark wall time is machine-dependent; the committed baseline
-# is refreshed alongside any intentional update-path change.
+# Machine-readable benchmark snapshot plus regression gate: the sequential,
+# batch (nil-sink and fully instrumented) and 4-shard update benchmarks and
+# the three Ir-lp safe-region constructions (Props 5.2/5.4/5.5, the θ search
+# that dominates the update path), with -benchmem, parsed into
+# BENCH_PR12.json. The gate fails on a >15% ns/op or allocs/op regression:
+# UpdateSequential/UpdateBatch against the committed BENCH_PR10.json, and
+# IrlpCircle/IrlpCircleComplement/IrlpRing against BENCH_PR11.json, the first
+# snapshot with those rows (the PR 11 tree measured on the same box as
+# BENCH_PR12.json). The Instrumented variants (observability-overhead
+# accounting in EXPERIMENTS.md) and UpdateSharded (sharding-overhead
+# tracking) are recorded but not gated. Benchmark wall time is
+# machine-dependent; the committed baselines are refreshed alongside any
+# intentional change to a gated path.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkUpdateSequential(Instrumented)?$$|BenchmarkUpdateBatch(Instrumented)?$$|BenchmarkUpdateSharded$$' -benchmem . | \
-		$(GO) run ./cmd/srb-benchjson -out BENCH_PR10.json \
-		-baseline BENCH_PR9.json -gate UpdateSequential,UpdateBatch -max-regress 0.15
+	@mkdir -p bin
+	$(GO) test -run '^$$' -bench 'BenchmarkUpdateSequential(Instrumented)?$$|BenchmarkUpdateBatch(Instrumented)?$$|BenchmarkUpdateSharded$$|BenchmarkIrlp(Circle|CircleComplement|Ring)$$' -benchmem . > bin/bench.txt
+	$(GO) run ./cmd/srb-benchjson -out BENCH_PR12.json \
+		-baseline BENCH_PR10.json -gate UpdateSequential,UpdateBatch -max-regress 0.15 < bin/bench.txt
+	$(GO) run ./cmd/srb-benchjson -out bin/bench-irlp.json \
+		-baseline BENCH_PR11.json -gate IrlpCircle,IrlpCircleComplement,IrlpRing -max-regress 0.15 < bin/bench.txt
 
 # Capacity smoke: build the real server and the open-loop load harness, ramp
 # a small session fleet against a 4-shard server, SIGKILL it mid-run for the

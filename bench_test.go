@@ -339,6 +339,19 @@ func BenchmarkIrlpCircle(b *testing.B) {
 	}
 }
 
+// BenchmarkIrlpCircleComplement times Proposition 5.4 for a non-member
+// between the disk and its bounding box, where the corner-on-arc θ family is
+// searched: the safe region of every non-result near a kNN quarantine circle.
+func BenchmarkIrlpCircleComplement(b *testing.B) {
+	c := geom.Circle{Center: geom.Pt(0.5, 0.5), R: 0.1}
+	cell := geom.R(0.54, 0.54, 0.62, 0.62)
+	p := geom.Pt(0.58, 0.58)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		geom.IrlpCircleComplement(c, p, cell, geom.ExitObjective(p))
+	}
+}
+
 func BenchmarkIrlpRing(b *testing.B) {
 	rg := geom.Ring{Center: geom.Pt(0.5, 0.5), Inner: 0.1, Outer: 0.3}
 	cell := geom.R(0.3, 0.3, 0.7, 0.7)

@@ -338,8 +338,7 @@ func (m *Monitor) refreshProbedAgainst(q *query.Query) []SafeRegionUpdate {
 		out = append(out, SafeRegionUpdate{Object: pid, Region: st.safe, Probed: true})
 	}
 	out = append(out, m.flushShrunk(nil)...)
-	m.probedNow = make(map[uint64]geom.Point)
-	m.probedFrom = make(map[uint64]geom.Point)
+	m.clearProbes()
 	return out
 }
 

@@ -15,6 +15,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -154,6 +155,7 @@ type Monitor struct {
 	// the movement it reveals can change other queries' results.
 	probedNow  map[uint64]geom.Point
 	probedFrom map[uint64]geom.Point
+	probesGrew bool // see beginOp
 	// shrunkNow tracks objects whose safe region was durably shrunk by a
 	// reachability-circle "virtual probe" during the current operation; the
 	// shrunken regions must be pushed to the clients at the end of the
@@ -348,40 +350,71 @@ func (m *Monitor) sortedQueryIDs() []query.ID {
 	return ids
 }
 
+// sortedProbedIDs returns the objects probed in the current operation in ID
+// order, nil when there are none (most operations).
 func (m *Monitor) sortedProbedIDs() []uint64 {
+	if len(m.probedNow) == 0 {
+		return nil
+	}
 	ids := make([]uint64, 0, len(m.probedNow))
 	for id := range m.probedNow {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
-// beginOp resets per-operation probe bookkeeping.
+// beginOp resets per-operation probe bookkeeping. The maps are reused from
+// one operation to the next, except after an operation grew them past
+// bigProbeSet entries (a registration probing many objects): clearing or
+// iterating a map costs its capacity, not its length, so such maps are
+// replaced.
 func (m *Monitor) beginOp() {
-	if len(m.probedNow) != 0 {
+	if m.probesGrew {
 		m.probedNow = make(map[uint64]geom.Point)
-	}
-	if len(m.probedFrom) != 0 {
 		m.probedFrom = make(map[uint64]geom.Point)
+		m.probesGrew = false
 	}
+	m.clearProbes()
 	if len(m.shrunkNow) != 0 {
-		m.shrunkNow = make(map[uint64]bool)
+		clear(m.shrunkNow)
 	}
+}
+
+// bigProbeSet is the probe count above which beginOp replaces the maps: the
+// size of one group of a Go map.
+const bigProbeSet = 8
+
+// clearProbes empties the probe bookkeeping at the end of an operation.
+func (m *Monitor) clearProbes() {
+	if len(m.probedNow) == 0 {
+		return // probedFrom's keys are a subset
+	}
+	m.probesGrew = m.probesGrew || len(m.probedNow) > bigProbeSet
+	clear(m.probedNow)
+	clear(m.probedFrom)
 }
 
 // settleProbes treats each probe as the location update it is: the probed
 // object's movement from its previous report can change the results of other
 // queries (e.g. it crossed a range boundary while the transition would
 // otherwise be consumed silently). Reevaluations here may probe further
-// objects, so the loop drains until quiescent. skip excludes a query whose
-// own evaluation is still in progress.
+// objects, so the loop drains until quiescent. skip is a query just
+// evaluated on the exact positions of the objects probed so far; it is not
+// reevaluated for those, but it is for objects first probed here, which may
+// have moved into it.
 func (m *Monitor) settleProbes(primary *objectState, skip *query.Query) {
 	processed := map[uint64]bool{}
+	settled := 0 // how many of the probed objects are in processed
 	if primary != nil {
 		processed[primary.id] = true
+		if _, ok := m.probedNow[primary.id]; ok {
+			settled++
+		}
 	}
-	for {
+	// The first round settles exactly the objects probed before settling
+	// started, the only ones skip was evaluated on.
+	for round := 0; len(m.probedNow) > settled; round++ {
 		var todo []uint64
 		for _, id := range m.sortedProbedIDs() {
 			if !processed[id] {
@@ -391,6 +424,7 @@ func (m *Monitor) settleProbes(primary *objectState, skip *query.Query) {
 		if len(todo) == 0 {
 			return
 		}
+		settled += len(todo)
 		for _, id := range todo {
 			processed[id] = true
 			st := m.objects[id]
@@ -402,7 +436,7 @@ func (m *Monitor) settleProbes(primary *objectState, skip *query.Query) {
 				continue
 			}
 			seen := map[query.ID]bool{}
-			if skip != nil {
+			if skip != nil && round == 0 {
 				seen[skip.ID] = true
 			}
 			for _, q := range m.grid.Affected(from, st.lastLoc) {
@@ -441,21 +475,30 @@ func (m *Monitor) finishOp(st *objectState) []SafeRegionUpdate {
 		out = append(out, SafeRegionUpdate{Object: st.id, Region: st.safe})
 		m.noteGrant(st.id)
 	}
-	for _, pid := range m.sortedProbedIDs() {
-		if st != nil && pid == st.id {
-			continue
+	// Most updates probe nothing, leaving the updating object the only
+	// exact one.
+	others := len(m.probedNow)
+	if st != nil {
+		if _, ok := m.probedNow[st.id]; ok {
+			others--
 		}
-		pst := m.objects[pid]
-		if pst == nil {
-			continue
+	}
+	if others > 0 {
+		for _, pid := range m.sortedProbedIDs() {
+			if st != nil && pid == st.id {
+				continue
+			}
+			pst := m.objects[pid]
+			if pst == nil {
+				continue
+			}
+			m.recomputeSafeRegion(pst)
+			out = append(out, SafeRegionUpdate{Object: pid, Region: pst.safe, Probed: true})
+			m.noteGrant(pid)
 		}
-		m.recomputeSafeRegion(pst)
-		out = append(out, SafeRegionUpdate{Object: pid, Region: pst.safe, Probed: true})
-		m.noteGrant(pid)
 	}
 	out = append(out, m.flushShrunk(st)...)
-	m.probedNow = make(map[uint64]geom.Point)
-	m.probedFrom = make(map[uint64]geom.Point)
+	m.clearProbes()
 	return out
 }
 
@@ -486,7 +529,7 @@ func (m *Monitor) flushShrunk(st *objectState) []SafeRegionUpdate {
 		out = append(out, SafeRegionUpdate{Object: id, Region: m.objects[id].safe, Probed: true})
 		m.noteGrant(id)
 	}
-	m.shrunkNow = make(map[uint64]bool)
+	clear(m.shrunkNow)
 	return out
 }
 

@@ -183,7 +183,18 @@ func (m *Monitor) reevalKNNSensitive(q *query.Query, st *objectState, pLst geom.
 		m.removeResultID(q, dropped)
 		droppedMin, _ := m.bounds(q.Point, dropped)
 		_, newMax := m.bounds(q.Point, q.Results[len(q.Results)-1])
-		q.QRadius = m.quarantineRadius(newMax, droppedMin)
+		// A probe in insertIntoOrder can find a result outside its safe
+		// region (its own update still queued behind this operation): beyond
+		// the old circle or past the dropped object. The order is then not
+		// known, and a circle grown to that result would cover non-results'
+		// safe regions without a search.
+		if newMax > q.QRadius || newMax > droppedMin {
+			m.fullReevalKNN(q)
+			return
+		}
+		if r := m.quarantineRadius(newMax, droppedMin); r < q.QRadius {
+			q.QRadius = r
+		}
 	case inNew && inOld:
 		// Case 3: movement inside the quarantine area may reorder results.
 		m.noteKNNCase(q, 3)

@@ -66,6 +66,13 @@ func canonicalize(q, p Point) reflection {
 	return rf
 }
 
+// canonicalOffset is p's offset from q in the canonical frame, taken from p
+// itself: the reflected point is rounded, which can move p across a
+// boundary it lies on, such as a ring's inner circle.
+func canonicalOffset(q, p Point) (float64, float64) {
+	return math.Abs(p.X - q.X), math.Abs(p.Y - q.Y)
+}
+
 func (rf reflection) point(p Point) Point {
 	return Point{rf.q.X + rf.sx*(p.X-rf.q.X), rf.q.Y + rf.sy*(p.Y-rf.q.Y)}
 }
@@ -77,42 +84,130 @@ func (rf reflection) rect(r Rect) Rect {
 }
 
 // optimizeTheta maximizes obj over the unimodal single-parameter rectangle
-// family mk on [lo, hi]. It evaluates the interval endpoints, any analytic
-// optima (clamped into the interval), and refines with the paper's
-// three-point shrinking search (Section 6.2) for objectives without a closed
-// form. Returns the best rectangle and its score; ok=false when lo > hi.
+// family mk on [lo, hi]. It evaluates the interval endpoints and any analytic
+// optima (clamped into the interval), refines with Brent's method (brentMax)
+// for objectives without a closed form, and keeps the best of all
+// candidates. Returns the best rectangle and its score; ok=false when
+// lo > hi.
 func optimizeTheta(lo, hi float64, mk func(float64) Rect, obj Objective, analytic ...float64) (Rect, float64, bool) {
 	if lo > hi {
 		return Rect{}, 0, false
 	}
 	best := mk(lo)
 	bestScore := obj(best)
-	try := func(theta float64) {
-		r := mk(theta)
-		if s := obj(r); s > bestScore {
-			best, bestScore = r, s
-		}
+	if hi <= lo {
+		return best, bestScore, true
 	}
-	try(hi)
+	r := mk(hi)
+	if s := obj(r); s > bestScore {
+		best, bestScore = r, s
+	}
 	for _, a := range analytic {
 		if a > lo && a < hi {
-			try(a)
+			r = mk(a)
+			if s := obj(r); s > bestScore {
+				best, bestScore = r, s
+			}
 		}
 	}
-	// Golden-section style refinement; 48 iterations are far below any
-	// practically observable tolerance for coordinates in the unit square.
-	a, b := lo, hi
-	for i := 0; i < 48 && b-a > 1e-12; i++ {
-		m1 := a + (b-a)/3
-		m2 := b - (b-a)/3
-		if obj(mk(m1)) < obj(mk(m2)) {
-			a = m1
-		} else {
-			b = m2
-		}
+	if r, s := brentMax(lo, hi, mk, obj); s > bestScore {
+		best, bestScore = r, s
 	}
-	try((a + b) / 2)
 	return best, bestScore, true
+}
+
+const (
+	// goldenStep is (3-√5)/2, the golden-section fraction of an interval.
+	goldenStep = 0.3819660112501051
+	// sqrtEps is √ε for float64: the relative tolerance below which a
+	// smooth function's maximum cannot be located from its values, since
+	// f(x+δ) - f(x) = O(δ²) is lost to rounding once δ < √ε·|x|.
+	sqrtEps = 1.4901161193847656e-08
+	// thetaAbsTol keeps the tolerance positive when the optimum sits at θ ≈ 0.
+	thetaAbsTol = 1e-12
+)
+
+// brentMax maximizes obj(mk(θ)) over [a, b] with Brent's derivative-free
+// method (Brent 1973, Algorithms for Minimization without Derivatives, ch. 5):
+// parabolic interpolation through the three best points when it lands inside
+// the bracket and shrinks the step, golden-section steps otherwise, stopping
+// once the bracket is within the relative tolerance √ε of the best point.
+// It stands in for the paper's three-point shrinking search (Section 6.2;
+// DESIGN.md §2). It returns the best rectangle evaluated and its score.
+func brentMax(a, b float64, mk func(float64) Rect, obj Objective) (Rect, float64) {
+	x := a + goldenStep*(b-a)
+	rx := mk(x)
+	fx := obj(rx)
+	w, v, fw, fv := x, x, fx, fx
+	var d, e float64 // the last step and the one before it
+	for {
+		mid := 0.5 * (a + b)
+		tol := sqrtEps*math.Abs(x) + thetaAbsTol
+		if math.Abs(x-mid) <= 2*tol-0.5*(b-a) {
+			return rx, fx
+		}
+		golden := true
+		if math.Abs(e) > tol {
+			// Parabola through (v, fv), (w, fw), (x, fx); its vertex is x+p/q.
+			// The formula is the same for a maximum as for a minimum.
+			r := (x - w) * (fx - fv)
+			q := (x - v) * (fx - fw)
+			p := (x-v)*q - (x-w)*r
+			q = 2 * (q - r)
+			if q > 0 {
+				p = -p
+			} else {
+				q = -q
+			}
+			// Accept the step only if it lies inside the bracket and is less
+			// than half the step before last, so the bracket keeps shrinking.
+			if math.Abs(p) < math.Abs(0.5*q*e) && p > q*(a-x) && p < q*(b-x) {
+				e, d = d, p/q
+				if u := x + d; u-a < 2*tol || b-u < 2*tol {
+					d = math.Copysign(tol, mid-x)
+				}
+				golden = false
+			}
+		}
+		if golden {
+			if x < mid {
+				e = b - x
+			} else {
+				e = a - x
+			}
+			d = goldenStep * e
+		}
+		// Never evaluate closer than tol to x: the values would only differ by
+		// rounding.
+		u := x + math.Copysign(math.Max(math.Abs(d), tol), d)
+		ru := mk(u)
+		fu := obj(ru)
+		if fu >= fx {
+			if u < x {
+				b = x
+			} else {
+				a = x
+			}
+			v, fv = w, fw
+			w, fw = x, fx
+			x, fx, rx = u, fu, ru
+			continue
+		}
+		if u < x {
+			a = u
+		} else {
+			b = u
+		}
+		// w and v are the second- and third-best points; the exact equalities
+		// detect the start-up state where they still coincide with x.
+		switch {
+		case fu >= fw || w == x: //lint:allow floatcmp stored abscissae, equal only as the same sample
+			v, fv = w, fw
+			w, fw = u, fu
+		case fu >= fv || v == x || v == w: //lint:allow floatcmp stored abscissae, equal only as the same sample
+			v, fv = u, fu
+		}
+	}
 }
 
 // IrlpCircle returns the inscribed rectangle of the disk c with the largest
@@ -124,10 +219,8 @@ func IrlpCircle(c Circle, p Point, cell Rect, obj Objective) Rect {
 		return RectAround(p).Intersect(cell)
 	}
 	rf := canonicalize(c.Center, p)
-	cp := rf.point(p)
 	q := c.Center
-	dx := cp.X - q.X
-	dy := cp.Y - q.Y
+	dx, dy := canonicalOffset(q, p)
 	// Inscribed rectangle with corner at angle θ from the y-axis:
 	// half-width r·sinθ, half-height r·cosθ. Containment of p requires
 	// θ ∈ [arcsin(dx/r), arccos(dy/r)].
@@ -138,7 +231,7 @@ func IrlpCircle(c Circle, p Point, cell Rect, obj Objective) Rect {
 		hh := c.R * math.Cos(theta)
 		return Rect{q.X - hw, q.Y - hh, q.X + hw, q.Y + hh}
 	}
-	best, _, ok := optimizeTheta(thetaLo, thetaHi, mk, objReflected(obj, rf), math.Pi/4)
+	best, _, ok := optimizeTheta(thetaLo, thetaHi, mk, objReflected(obj, rf, p), math.Pi/4)
 	if !ok {
 		return RectAround(p).Intersect(cell)
 	}
@@ -164,17 +257,13 @@ func IrlpCircleComplement(c Circle, p Point, cell Rect, obj Objective) Rect {
 	cp := rf.point(p)
 	ce := rf.rect(e)
 	q := c.Center
-	dx := cp.X - q.X
-	dy := cp.Y - q.Y
+	dx, dy := canonicalOffset(q, p)
 	t := Point{ce.MaxX, ce.MaxY} // Lemma 5.3: cell corner of p's quadrant
 
 	best := RectAround(cp)
-	robj := objReflected(obj, rf)
+	robj := objReflected(obj, rf, p)
 	bestScore := robj(best)
 	consider := func(r Rect) {
-		if !r.IsValid() || !r.Contains(cp) {
-			return
-		}
 		if s := robj(r); s > bestScore {
 			best, bestScore = r, s
 		}
@@ -195,7 +284,7 @@ func IrlpCircleComplement(c Circle, p Point, cell Rect, obj Objective) Rect {
 			x := Point{q.X + c.R*math.Sin(theta), q.Y + c.R*math.Cos(theta)}
 			return R(x.X, x.Y, t.X, t.Y)
 		}
-		if r, _, ok := optimizeTheta(thetaY, thetaX, mk, robj, math.Pi/4); ok && r.Contains(cp) {
+		if r, _, ok := optimizeTheta(thetaY, thetaX, mk, robj, math.Pi/4); ok {
 			consider(r)
 		}
 	}
@@ -225,17 +314,13 @@ func IrlpRing(rg Ring, p Point, cell Rect, obj Objective) Rect {
 	rf := canonicalize(rg.Center, p)
 	cp := rf.point(p)
 	q := rg.Center
-	dx := cp.X - q.X
-	dy := cp.Y - q.Y
+	dx, dy := canonicalOffset(q, p)
 	rr, RR := rg.Inner, rg.Outer
 
 	best := RectAround(cp)
-	robj := objReflected(obj, rf)
+	robj := objReflected(obj, rf, p)
 	bestScore := robj(best)
 	consider := func(r Rect) {
-		if !r.IsValid() || !r.Contains(cp) {
-			return
-		}
 		if s := robj(r); s > bestScore {
 			best, bestScore = r, s
 		}
@@ -244,8 +329,10 @@ func IrlpRing(rg Ring, p Point, cell Rect, obj Objective) Rect {
 	thetaLo := math.Asin(clamp(dx/RR, 0, 1))
 	thetaHi := math.Acos(clamp(dy/RR, 0, 1))
 	// Layout H: tangent to the inner circle from above, corners on the outer
-	// circle. Valid when p sits above the inner circle (dy ≥ inner).
-	if dy >= rr && thetaLo <= thetaHi {
+	// circle. Valid when p sits above the inner circle (dy ≥ inner), tested
+	// on squares as Ring.Contains does, so that a p it accepts on the inner
+	// circle keeps the layout.
+	if dy*dy >= rr*rr && thetaLo <= thetaHi {
 		mk := func(theta float64) Rect {
 			hw := RR * math.Sin(theta)
 			top := RR * math.Cos(theta)
@@ -256,7 +343,7 @@ func IrlpRing(rg Ring, p Point, cell Rect, obj Objective) Rect {
 		}
 	}
 	// Layout V: tangent to the inner circle from the right.
-	if dx >= rr && thetaLo <= thetaHi {
+	if dx*dx >= rr*rr && thetaLo <= thetaHi {
 		mk := func(theta float64) Rect {
 			hh := RR * math.Cos(theta)
 			right := RR * math.Sin(theta)
@@ -310,12 +397,14 @@ func IrlpRectComplement(q Rect, p Point, cell Rect, obj Objective) Rect {
 	return best
 }
 
-func objReflected(obj Objective, rf reflection) Objective {
-	//lint:allow floatcmp sx/sy are exact ±1 reflection sentinels, never computed
-	if rf.sx == 1 && rf.sy == 1 {
-		return obj
-	}
-	return func(r Rect) float64 { return obj(rf.rect(r)) }
+// objReflected scores a candidate built in the canonical frame of rf: it maps
+// the candidate back to the original frame (normalizing it) and widens it to
+// contain p. Every candidate is a valid rectangle containing p in exact
+// arithmetic, but rounding (at the ends of a θ interval, on a circle, in the
+// reflection itself) can invert it or leave p outside by a hair, which
+// would score a good candidate, or a whole θ family, as worthless.
+func objReflected(obj Objective, rf reflection, p Point) Objective {
+	return func(r Rect) float64 { return obj(rf.rect(r).Union(RectAround(p))) }
 }
 
 // ensureContains guards against floating-point rounding expelling p from the

@@ -112,3 +112,86 @@ func FuzzIrlpCircleComplement(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIrlpRing checks the Proposition 5.5 construction against its defining
+// properties and a brute-force sampler: the result must contain p, stay
+// inside the cell and the annulus, and score no lower than any sampled
+// candidate that contains p. The sampler walks the same candidates densely:
+// strips tangent to the inner circle on each of its four sides with corners
+// on the outer circle, and the radial box. Both the perimeter and the exit
+// integral are checked; the exit integral has no analytic optimum, so only
+// the θ search can find it.
+func FuzzIrlpRing(f *testing.F) {
+	f.Add(0.5, 0.5, 0.5, 0.5, 0.9, 0.3)
+	f.Add(0.4, 0.6, 0.1, 0.9, 0.2, 0.8)
+	f.Add(0.5, 0.5, 0.9, 0.2, 0.5, 0.95)
+	f.Fuzz(func(t *testing.T, cx, cy, inner, outer, rho, phi float64) {
+		vals := [6]*float64{&cx, &cy, &inner, &outer, &rho, &phi}
+		for _, v := range vals {
+			s, ok := sanitize(*v)
+			if !ok {
+				t.Skip()
+			}
+			*v = s
+		}
+		cell := R(0, 0, 1, 1)
+		// Keep the annulus strictly inside the cell so clipping cannot shrink
+		// the optimum; the sampler assumes the unclipped candidates.
+		q := Pt(0.3+0.4*cx, 0.3+0.4*cy)
+		rg := Ring{Center: q, Outer: 0.02 + 0.27*outer}
+		rg.Inner = rg.Outer * (0.05 + 0.9*inner)
+		d := rg.Inner + (rg.Outer-rg.Inner)*rho
+		p := Pt(q.X+d*math.Cos(2*math.Pi*phi), q.Y+d*math.Sin(2*math.Pi*phi))
+		if !rg.Contains(p) {
+			t.Skip() // rounding put p on the wrong side of a boundary
+		}
+		for _, o := range []struct {
+			name string
+			obj  Objective
+		}{{"perimeter", Perimeter}, {"exit", ExitObjective(p)}} {
+			got := IrlpRing(rg, p, cell, o.obj)
+			if !got.IsValid() || !got.Contains(p) {
+				t.Fatalf("IrlpRing(%v, %v, %s) = %v does not contain p", rg, p, o.name, got)
+			}
+			if !cell.ContainsRect(got) {
+				t.Fatalf("IrlpRing(%v, %v, %s) = %v escapes the cell", rg, p, o.name, got)
+			}
+			if dmax := got.MaxDist(q); dmax > rg.Outer+1e-9 {
+				t.Fatalf("IrlpRing(%v, %v, %s) = %v leaves the outer disk: max dist %g > %g", rg, p, o.name, got, dmax, rg.Outer)
+			}
+			if dmin := got.MinDist(q); dmin < rg.Inner-1e-9 {
+				t.Fatalf("IrlpRing(%v, %v, %s) = %v enters the inner disk: min dist %g < %g", rg, p, o.name, got, dmin, rg.Inner)
+			}
+			best := ringSamplerBest(rg, p, o.obj)
+			if s := o.obj(got); s < best*(1-1e-6) {
+				t.Fatalf("IrlpRing(%v, %v, %s) = %v scores %g, beaten by a sampled candidate at %g", rg, p, o.name, got, s, best)
+			}
+		}
+	})
+}
+
+// ringSamplerBest returns the best score of the sampled ring candidates that
+// contain p.
+func ringSamplerBest(rg Ring, p Point, obj Objective) float64 {
+	q, rr, RR := rg.Center, rg.Inner, rg.Outer
+	best := 0.0
+	try := func(r Rect) {
+		if r.IsValid() && r.Contains(p) {
+			best = math.Max(best, obj(r))
+		}
+	}
+	const steps = 1024
+	for i := 0; i <= steps; i++ {
+		theta := float64(i) / steps * math.Pi / 2
+		w, h := RR*math.Sin(theta), RR*math.Cos(theta)
+		try(Rect{q.X - w, q.Y + rr, q.X + w, q.Y + h}) // above the inner disk
+		try(Rect{q.X - w, q.Y - h, q.X + w, q.Y - rr}) // below
+		try(Rect{q.X + rr, q.Y - h, q.X + w, q.Y + h}) // right
+		try(Rect{q.X - w, q.Y - h, q.X - rr, q.Y + h}) // left
+	}
+	dx, dy := p.X-q.X, p.Y-q.Y
+	if d := math.Hypot(dx, dy); d > 0 {
+		try(R(q.X+dx*rr/d, q.Y+dy*rr/d, q.X+dx*RR/d, q.Y+dy*RR/d))
+	}
+	return best
+}
